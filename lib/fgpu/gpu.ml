@@ -26,6 +26,17 @@
    valid, and a valid cache means no mutation happened since it was
    computed, so a recomputation would return the same value.
 
+   A launch pays for little besides simulation.  Global memory is the
+   caller's [int array] ({!Ggpu_isa.I32} canonical), read and written
+   in place with no working copy: a store reaches the caller the moment
+   it executes, so a fault or watchdog exit leaves exactly the stores
+   made before it.  Register files circulate through a free list: a
+   retiring workgroup's files go, zero-filled, to the next workgroups
+   dispatched, so a grid allocates only as many files as are ever
+   resident at once.  The scan helpers ([next_issue_scan],
+   [probe_ready], [charge_lines]) are top-level functions taking their
+   free variables as arguments, so no issue allocates a closure.
+
    Two orthogonal execution choices sit on top of that scheduler:
 
    - [backend] picks how an issue executes its lanes: [Interp]
@@ -138,36 +149,37 @@ let invalidate cu = cu.cand_valid <- false
    runnable wavefront has ready_at >= the minimum, so "ready at t'"
    means "ready_at = min" and the winner is the probe-order-first
    achiever of the minimum ([first_min], kept by strict-< update). *)
+let rec next_issue_scan cu slots n vu idx k min_ready first_le first_min =
+  if k >= n then begin
+    cu.cand_valid <- true;
+    if min_ready = no_candidate then begin
+      cu.cand <- no_candidate;
+      -1
+    end
+    else if min_ready <= vu then begin
+      cu.cand <- vu;
+      first_le
+    end
+    else begin
+      cu.cand <- min_ready;
+      first_min
+    end
+  end
+  else
+    let wf = Array.unsafe_get slots idx in
+    let idx' = if idx + 1 = n then 0 else idx + 1 in
+    if runnable wf then
+      let r = wf.Wavefront.ready_at in
+      let first_le = if first_le < 0 && r <= vu then idx else first_le in
+      if r < min_ready then
+        next_issue_scan cu slots n vu idx' (k + 1) r first_le idx
+      else next_issue_scan cu slots n vu idx' (k + 1) min_ready first_le first_min
+    else next_issue_scan cu slots n vu idx' (k + 1) min_ready first_le first_min
+
 let next_issue cu =
   let n = cu.n_wfs in
   let slots = cu.wf_slots in
   let vu = cu.vu_free in
-  let rec scan idx k min_ready first_le first_min =
-    if k >= n then begin
-      cu.cand_valid <- true;
-      if min_ready = no_candidate then begin
-        cu.cand <- no_candidate;
-        -1
-      end
-      else if min_ready <= vu then begin
-        cu.cand <- vu;
-        first_le
-      end
-      else begin
-        cu.cand <- min_ready;
-        first_min
-      end
-    end
-    else
-      let wf = Array.unsafe_get slots idx in
-      let idx' = if idx + 1 = n then 0 else idx + 1 in
-      if runnable wf then
-        let r = wf.Wavefront.ready_at in
-        let first_le = if first_le < 0 && r <= vu then idx else first_le in
-        if r < min_ready then scan idx' (k + 1) r first_le idx
-        else scan idx' (k + 1) min_ready first_le first_min
-      else scan idx' (k + 1) min_ready first_le first_min
-  in
   if n = 0 then begin
     cu.cand <- no_candidate;
     cu.cand_valid <- true;
@@ -185,8 +197,29 @@ let next_issue cu =
       cu.cand_valid <- true;
       rr
     end
-    else scan rr 0 no_candidate (-1) (-1)
+    else next_issue_scan cu slots n vu rr 0 no_candidate (-1) (-1)
   end
+
+(* Probe slots (rr + k) mod n for k = 0.. for the first wavefront ready
+   at [t], without the per-probe division; -1 when none is. *)
+let rec probe_ready slots n t idx k =
+  if k >= n then -1
+  else
+    let wf = Array.unsafe_get slots idx in
+    if runnable wf && wf.Wavefront.ready_at <= t then idx
+    else probe_ready slots n t (if idx + 1 = n then 0 else idx + 1) (k + 1)
+
+(* Charge an issue's coalesced lines against the cache, newest-first
+   (matching the consed list the old issue path handed to the stateful,
+   order-sensitive port arbiter); returns the latest completion. *)
+let rec charge_lines cache (out : Wavefront.outcome) ~now i acc =
+  if i < 0 then acc
+  else
+    let c =
+      Cache.access cache ~now ~addr:out.Wavefront.mem_lines.(i)
+        ~write:out.Wavefront.mem_is_store
+    in
+    charge_lines cache out ~now (i - 1) (if c > acc then c else acc)
 
 (* One wavefront's recorded issue stream for split-mode replay: per
    issue [pc; meta; line...] where [meta] packs the executed-lane
@@ -282,16 +315,6 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
     let wf_size = cfg.Config.wavefront_size in
     let num_wgs = (global_size + local_size - 1) / local_size in
     let wfs_per_wg = Config.wavefronts_per_workgroup cfg ~local_size in
-    (* the simulator's working copy of global memory: unboxed native
-       ints, copied back into the caller's [int32 array] on every exit
-       path so partial results survive watchdogs and faults *)
-    let imem = Array.map Ggpu_isa.I32.of_int32 mem in
-    let copy_back () =
-      for i = 0 to Array.length mem - 1 do
-        mem.(i) <- Ggpu_isa.I32.to_int32 imem.(i)
-      done
-    in
-    Fun.protect ~finally:copy_back @@ fun () ->
     let line_words = cfg.Config.cache.Config.line_words in
     (* how an issue executes its lanes; both backends write the same
        architectural state and the same outcome record *)
@@ -300,14 +323,18 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       | Threaded ->
           (* eta-expanded: a partial application here would send every
              issue through caml_curry with a fresh intermediate closure *)
-          let th = Threaded.compile dprog ~wf_size ~mem:imem ~line_words in
+          let th = Threaded.compile dprog ~wf_size ~mem ~line_words in
           fun wf out -> Threaded.issue th wf out
-      | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem:imem ~line_words out
+      | Interp -> fun wf out -> Wavefront.issue wf ~dprog ~mem ~line_words out
     in
-    let make_wg wg_id =
+    let reg_words = Wavefront.reg_file_words ~size:wf_size in
+    let fresh_regs () = Array.make reg_words 0 in
+    (* [regs] supplies each wavefront's register file: a fresh one, or
+       one recycled from a retired workgroup *)
+    let make_wg ~regs wg_id =
       let wavefronts =
         Array.init wfs_per_wg (fun wf_index ->
-            Wavefront.create ~wg_id ~wf_index ~size:wf_size
+            Wavefront.create ~regs:(regs ()) ~wg_id ~wf_index ~size:wf_size
               ~wg_offset:(wg_id * local_size)
               ~wg_size:(min local_size (global_size - (wg_id * local_size)))
               ~global_size ~params)
@@ -324,7 +351,9 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       { wg_id = -1; wavefronts = [||]; barrier_waiting = 0; finished_wfs = 0; items = 0 }
     in
     let dummy_wf =
-      Wavefront.create ~wg_id:(-1) ~wf_index:0 ~size:1 ~wg_offset:0 ~wg_size:0
+      Wavefront.create
+        ~regs:(Array.make (Wavefront.reg_file_words ~size:1) 0)
+        ~wg_id:(-1) ~wf_index:0 ~size:1 ~wg_offset:0 ~wg_size:0
         ~global_size:0 ~params:[]
     in
     let slot_capacity =
@@ -344,10 +373,12 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
        interleaving phase B will choose.  Always runs every wavefront
        to retirement, so the traces cover any schedule phase B picks
        (a replay that needs less — a kernel whose sequential schedule
-       deadlocks — fails and falls back to sequential execution). *)
+       deadlocks — fails and falls back to sequential execution).
+       Workgroups run on parallel domains here, so each takes fresh
+       register files rather than sharing [simulate]'s free list. *)
     let exec_traces () =
       let exec_wg wg_id =
-        let wg = make_wg wg_id in
+        let wg = make_wg ~regs:fresh_regs wg_id in
         let wfs = wg.wavefronts in
         let nw = Array.length wfs in
         let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -425,6 +456,17 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
         if t <> no_candidate then push_event t cu.cu_id
       in
       let next_wg = ref 0 in
+      (* Register files of retired workgroups, handed to the next ones
+         dispatched: a fresh file is [reg_words] words on the major heap
+         per wavefront. *)
+      let free_regs = ref [] in
+      let take_regs () =
+        match !free_regs with
+        | r :: rest ->
+            free_regs := rest;
+            r
+        | [] -> fresh_regs ()
+      in
       (* One sample of [cu]'s wavefront-occupancy track, in simulated
          cycles; emitted at the points where occupancy changes (dispatch,
          barrier entry/release, retirement). *)
@@ -446,7 +488,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
           && cu.resident_items + (wfs_per_wg * wf_size)
              <= cfg.Config.max_workitems_per_cu
         then begin
-          let wg = make_wg !next_wg in
+          let wg = make_wg ~regs:take_regs !next_wg in
           incr next_wg;
           Array.iter
             (fun wf ->
@@ -482,20 +524,11 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
          once per issued wavefront-instruction).  Returns the slot index,
          -1 if nothing is ready. *)
       let pick_wavefront cu t =
-        (* pure scan: probes (rr + k) mod n for k = 0.., without the
-           per-probe division (the cursor may be stale past n after a
-           workgroup retired, hence the initial mod).  The caller
-           commits the cursor once it decides to issue the winner. *)
+        (* pure scan (the cursor may be stale past n after a workgroup
+           retired, hence the initial mod); the caller commits the
+           cursor once it decides to issue the winner *)
         let n = cu.n_wfs in
-        let slots = cu.wf_slots in
-        let rec probe idx k =
-          if k >= n then -1
-          else
-            let wf = Array.unsafe_get slots idx in
-            if runnable wf && wf.Wavefront.ready_at <= t then idx
-            else probe (if idx + 1 = n then 0 else idx + 1) (k + 1)
-        in
-        probe (cu.rr mod n) 0
+        probe_ready cu.wf_slots n t (cu.rr mod n) 0
       in
       (* the round-robin advance [pick_wavefront] used to apply on a hit *)
       let commit_rr cu idx =
@@ -530,6 +563,9 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
         done;
         cu.n_wfs <- !j;
         cu.resident_items <- cu.resident_items - wg.items;
+        Array.iter
+          (fun wf -> free_regs := wf.Wavefront.regs :: !free_regs)
+          wg.wavefronts;
         invalidate cu
       in
       let out = Wavefront.make_outcome ~max_lanes:wf_size in
@@ -632,19 +668,9 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
             if out.Wavefront.mem_is_store then
               stats.Stats.stores <- stats.Stats.stores + 1
             else stats.Stats.loads <- stats.Stats.loads + 1;
-            (* newest-first, matching the consed list the old issue path
-               handed to the (stateful, order-sensitive) port arbiter *)
-            let rec mem_loop i acc =
-              if i < 0 then acc
-              else
-                let c =
-                  Cache.access cache ~now:(t + beats)
-                    ~addr:out.Wavefront.mem_lines.(i)
-                    ~write:out.Wavefront.mem_is_store
-                in
-                mem_loop (i - 1) (if c > acc then c else acc)
-            in
-            mem_loop (out.Wavefront.mem_line_count - 1) completion
+            charge_lines cache out ~now:(t + beats)
+              (out.Wavefront.mem_line_count - 1)
+              completion
           end
           else completion
         in
@@ -740,7 +766,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
             (* converged wavefronts keep [pcs] stale; make it real before
                the injector reads or rewrites per-lane state *)
             Array.iter Wavefront.materialize_pcs resident;
-            f { p_now = t; p_wavefronts = resident; p_cache = cache; p_mem = imem };
+            f { p_now = t; p_wavefronts = resident; p_cache = cache; p_mem = mem };
             (* injected state may have made an idle CU runnable again (a
                revived lane): re-arm every CU; stale events are harmless *)
             Array.iter invalidate cus;
@@ -793,7 +819,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
     if use_split then begin
       (* phase A mutates global memory; snapshot it so a fallback can
          repeat the run with exact sequential semantics *)
-      let imem0 = Array.copy imem in
+      let mem0 = Array.copy mem in
       match
         let traces = exec_traces () in
         if Ggpu_obs.Metrics.ambient_enabled () then
@@ -802,7 +828,7 @@ let run ?max_cycles ?inject ?pmu ?(backend = Threaded) ?(domains = 1)
       with
       | stats -> stats
       | exception (Wavefront.Fault _ | Launch_error _) ->
-          Array.blit imem0 0 imem 0 (Array.length imem0);
+          Array.blit mem0 0 mem 0 (Array.length mem0);
           if Ggpu_obs.Metrics.ambient_enabled () then
             Ggpu_obs.Metrics.count "sim.fgpu.split_fallbacks" 1;
           simulate ~traces:None

@@ -17,9 +17,8 @@ type probe = {
       (** all resident wavefronts, CU-major then workgroup order *)
   p_cache : Cache.t;
   p_mem : int array;
-      (** the simulator's working copy of global memory: one native int
-          per 32-bit word, {!Ggpu_isa.I32} canonical; mutations are
-          copied back into the caller's [int32 array] when [run] exits *)
+      (** global memory: the caller's [mem] array itself, so an
+          injector's writes land where the caller reads results *)
 }
 (** Architectural-state snapshot handed to a fault injector. *)
 
@@ -46,13 +45,15 @@ val run :
   params:int32 list ->
   global_size:int ->
   local_size:int ->
-  mem:int32 array ->
+  mem:int array ->
   Stats.t
 (** Execute the kernel for [global_size] work-items in workgroups of
     [local_size]. [params] are preloaded into r1..rN of every work-item
-    (the code generator's convention). [mem] is global memory, mutated
-    in place (including on watchdog / fault exits, so partial results
-    are observable).
+    (the code generator's convention). [mem] is global memory, one
+    native int per 32-bit word in {!Ggpu_isa.I32} canonical form.  The
+    simulator works on it directly, so every store lands in the
+    caller's array the moment it executes: after a watchdog or fault
+    exit [mem] holds exactly the stores made before it.
 
     [max_cycles] arms a watchdog over simulated time; [inject] is a
     [(cycle, f)] pair calling [f] once with a state snapshot at the

@@ -1213,12 +1213,11 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
   done;
   { dense; sparse; flags; prog_len = n }
 
-(* Issue prologue/epilogue shared with the interpreting path: pick the
-   pc, validate it, reset the outcome record, run the compiled lane
-   loop, record retirement. *)
-let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
-  assert (not (Wavefront.finished wf));
-  let pc, executed = Wavefront.select_pc wf in
+(* Issue prologue/epilogue shared with the interpreting path: validate
+   the pc, reset the outcome record, run the compiled lane loop, record
+   retirement. *)
+let issue_at (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) pc executed
+    : unit =
   if pc < 0 || pc >= th.prog_len then fault "pc %d outside program" pc;
   let live_before = wf.Wavefront.live_lanes in
   let f = Array.unsafe_get th.flags pc in
@@ -1234,3 +1233,14 @@ let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
   (if wf.Wavefront.conv_pc >= 0 then (Array.unsafe_get th.dense pc) wf out
    else (Array.unsafe_get th.sparse pc) wf out);
   out.Wavefront.retired <- Wavefront.finished wf
+
+(* The converged path reads [conv_pc]/[size] directly rather than
+   through {!Wavefront.select_pc}, whose pair would be allocated on
+   every issue. *)
+let issue (th : t) (wf : Wavefront.t) (out : Wavefront.outcome) : unit =
+  assert (not (Wavefront.finished wf));
+  let conv = wf.Wavefront.conv_pc in
+  if conv >= 0 then issue_at th wf out conv wf.Wavefront.size
+  else
+    let pc, executed = Wavefront.select_pc wf in
+    issue_at th wf out pc executed

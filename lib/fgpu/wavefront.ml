@@ -32,8 +32,11 @@
      through {!reg}, which answers 0 for x0 directly.
 
    [issue] consumes the predecoded program ({!Ggpu_isa.Fgpu_predecode})
-   and writes into a caller-owned [outcome] scratch record, so a
-   multi-million-instruction run allocates nothing per issue.  Two more
+   and writes into a caller-owned [outcome] scratch record; a converged
+   issue reads its pc straight from [conv_pc] instead of through
+   [select_pc]'s pair, so a multi-million-instruction run allocates
+   nothing per converged issue.  Memory accesses test the line charged
+   last before paying for a division ({!coalesce_and_check}).  Two more
    devices keep the per-lane cost at a handful of machine instructions:
 
    - the instruction is discriminated once per lane group, with the hot
@@ -121,8 +124,12 @@ let make_outcome ~max_lanes =
     retired = false;
   }
 
-let create ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
+let reg_file_words ~size = num_reg_slices * size
+
+let create ~regs ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
     ~(params : int32 list) =
+  if Array.length regs <> reg_file_words ~size then
+    invalid_arg "Wavefront.create: register buffer size";
   let first_lid = wf_index * size in
   let pcs =
     Array.init size (fun lane ->
@@ -131,7 +138,8 @@ let create ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
         if lid >= wg_size || wg_offset + lid >= global_size then done_pc else 0)
   in
   let live = Array.fold_left (fun n pc -> if pc = done_pc then n else n + 1) 0 pcs in
-  let regs = Array.make (num_reg_slices * size) 0 in
+  (* a recycled buffer starts exactly as a fresh one would *)
+  Array.fill regs 0 (Array.length regs) 0;
   List.iteri
     (fun i v ->
       let r = i + 1 and v = I32.of_int32 v in
@@ -256,17 +264,30 @@ let select_pc t =
 let rec line_seen (lines : int array) n lb i =
   i < n && (Array.unsafe_get lines i = lb || line_seen lines n lb (i + 1))
 
-(* Record the line containing [addr], then validate the word address.
-   The order matters: the timing model charges the coalesced request
-   even when the access itself faults (matching the original issue
-   path, where [add_line] ran before the bounds check). *)
-let[@inline] coalesce_and_check (out : outcome) ~line_bytes ~mem_words addr =
+let charge_line (out : outcome) ~line_bytes addr =
   let lb = addr / line_bytes * line_bytes in
   let n = out.mem_line_count in
   if not (line_seen out.mem_lines n lb 0) then begin
     out.mem_lines.(n) <- lb;
     out.mem_line_count <- n + 1
-  end;
+  end
+
+(* Record the line containing [addr], then validate the word address.
+   The order matters: the timing model charges the coalesced request
+   even when the access itself faults (matching the original issue
+   path, where [add_line] ran before the bounds check).
+
+   Consecutive lanes almost always hit the line charged last, so that
+   line is tested first with a subtraction; only a miss pays the
+   division and the scan.  A non-negative line base [last] with
+   [last <= addr < last + line_bytes] is exactly the line the division
+   would compute, and negative addresses never take the shortcut, so
+   truncating division still decides them. *)
+let[@inline] coalesce_and_check (out : outcome) ~line_bytes ~mem_words addr =
+  let n = out.mem_line_count in
+  let last = if n > 0 then Array.unsafe_get out.mem_lines (n - 1) else -1 in
+  if not (last >= 0 && addr >= last && addr - last < line_bytes) then
+    charge_line out ~line_bytes addr;
   if addr land 3 <> 0 then fault "misaligned access 0x%x" addr;
   let w = addr lsr 2 in
   if w >= mem_words then fault "address 0x%x out of memory" addr;
@@ -277,15 +298,14 @@ let[@inline] coalesce_and_check (out : outcome) ~line_bytes ~mem_words addr =
    conditional. *)
 let[@inline] dst_off ~size rd = (if rd = 0 then sink_reg else rd) * size
 
-(* Execute one instruction for all lanes at the minimum PC.  Global
-   memory is read/written immediately through [mem]; the line buffer in
-   [out] carries the timing cost to the scheduler. *)
-let issue t ~(dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
-    (out : outcome) : unit =
-  assert (not (finished t));
+(* Execute one instruction for the [executed] lanes at [pc], the
+   minimum PC.  Global memory is read/written immediately through
+   [mem]; the line buffer in [out] carries the timing cost to the
+   scheduler. *)
+let issue_at t ~(dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
+    (out : outcome) pc executed : unit =
   let size = t.size in
   let pcs = t.pcs and regs = t.regs in
-  let pc, executed = select_pc t in
   (* the interpreting path writes [pcs] without maintaining the sparse
      selection cache *)
   t.sel_valid <- false;
@@ -717,3 +737,13 @@ let issue t ~(dprog : Fgpu_predecode.t array) ~(mem : int array) ~line_words
         t.live_lanes <- t.live_lanes - executed
       end);
   out.retired <- finished t
+
+(* The converged path reads [conv_pc]/[size] directly: going through
+   [select_pc] would allocate its pair on every issue. *)
+let issue t ~dprog ~mem ~line_words out =
+  assert (not (finished t));
+  let conv = t.conv_pc in
+  if conv >= 0 then issue_at t ~dprog ~mem ~line_words out conv t.size
+  else
+    let pc, executed = select_pc t in
+    issue_at t ~dprog ~mem ~line_words out pc executed

@@ -76,7 +76,12 @@ val make_outcome : max_lanes:int -> outcome
 
 exception Fault of string
 
+val reg_file_words : size:int -> int
+(** Length of the register file of a [size]-lane wavefront: the 32
+    architectural slices plus the write sink. *)
+
 val create :
+  regs:int array ->
   wg_id:int ->
   wf_index:int ->
   size:int ->
@@ -86,7 +91,10 @@ val create :
   params:int32 list ->
   t
 (** Lanes beyond the workgroup or global range start retired; [params]
-    are preloaded into r1..rN of every lane. *)
+    are preloaded into r1..rN of every lane.  [regs] becomes the
+    register file: it is zero-filled first, so a buffer recycled from a
+    retired wavefront starts exactly as a fresh one.
+    @raise Invalid_argument unless [regs] has {!reg_file_words} words. *)
 
 val finished : t -> bool
 
@@ -119,8 +127,9 @@ val coalesce_and_check : outcome -> line_bytes:int -> mem_words:int -> int -> in
     line buffer (first-touch order, deduplicated), then validate the
     access; returns the word index.  The line is charged before
     validation so the timing model sees the request even when the
-    access faults.  @raise Fault on misaligned or out-of-range
-    addresses. *)
+    access faults.  An address inside the line charged last skips the
+    division and the deduplication scan; the result is the same.
+    @raise Fault on misaligned or out-of-range addresses. *)
 
 val reg : t -> lane:int -> int -> int32
 (** Architectural register read as [int32] (fault-injection interface). *)

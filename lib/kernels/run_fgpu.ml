@@ -2,13 +2,18 @@
    buffers out in global memory, passes parameter values (preloaded into
    r1..rN of every work-item, per the code generator's convention),
    launches the grid and reads results back.  Plays the role of the
-   OpenCL runtime API the paper uses on the FGPU side. *)
+   OpenCL runtime API the paper uses on the FGPU side.
+
+   This is where [int32] meets the simulator's native-int memory: the
+   buffers are converted once on entry, and a buffer is converted back
+   only when {!output} asks for it. *)
 
 open Ggpu_fgpu
 
 type result = {
   stats : Stats.t;
-  buffers : (string * int32 array) list;
+  mem : int array;
+  layout : (string * int * int) list;
 }
 
 exception Setup_error of string
@@ -36,10 +41,13 @@ let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
       (fun acc (_, addr, data) -> max acc ((addr / 4) + Array.length data))
       (base_addr / 4) placed
   in
-  let mem = Array.make (needed_words + 64) 0l in
+  let mem = Array.make (needed_words + 64) 0 in
   List.iter
     (fun (_, addr, data) ->
-      Array.blit data 0 mem (addr / 4) (Array.length data))
+      let base = addr / 4 in
+      for i = 0 to Array.length data - 1 do
+        mem.(base + i) <- Ggpu_isa.I32.of_int32 data.(i)
+      done)
     placed;
   let param_value name =
     match List.find_opt (fun (n, _, _) -> String.equal n name) placed with
@@ -60,15 +68,13 @@ let run ?(config = Config.default) ?(base_addr = 0x1000) ?max_cycles ?inject
       ~program:compiled.Codegen_fgpu.code
       ~params ~global_size ~local_size ~mem
   in
-  let buffers =
-    List.map
-      (fun (name, addr, data) ->
-        (name, Array.sub mem (addr / 4) (Array.length data)))
-      placed
+  let layout =
+    List.map (fun (name, addr, data) -> (name, addr / 4, Array.length data)) placed
   in
-  { stats; buffers }
+  { stats; mem; layout }
 
 let output result name =
-  match List.assoc_opt name result.buffers with
-  | Some a -> a
+  match List.find_opt (fun (n, _, _) -> String.equal n name) result.layout with
+  | Some (_, base, len) ->
+      Array.init len (fun i -> Ggpu_isa.I32.to_int32 result.mem.(base + i))
   | None -> raise (Setup_error (Printf.sprintf "no such buffer %s" name))

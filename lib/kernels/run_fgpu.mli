@@ -4,7 +4,12 @@
 
 type result = {
   stats : Ggpu_fgpu.Stats.t;
-  buffers : (string * int32 array) list;  (** final contents *)
+  mem : int array;
+      (** global memory after the run, one native int per word in
+          {!Ggpu_isa.I32} canonical form; read buffers through {!output} *)
+  layout : (string * int * int) list;
+      (** one (buffer name, word offset into [mem], length in words)
+          entry per [args] buffer, in argument order *)
 }
 
 exception Setup_error of string
@@ -29,4 +34,5 @@ val run :
     and the functional-phase domain fan-out). *)
 
 val output : result -> string -> int32 array
-(** @raise Setup_error on an unknown buffer name. *)
+(** Final contents of one buffer, converted to [int32] on each call.
+    @raise Setup_error on an unknown buffer name. *)

@@ -21,8 +21,13 @@ let parse_lines lines =
       if line = "" || line.[0] = '#' then None else Some (Rule.of_line line))
     lines
 
+(* Kernels compile on several domains at once (the suite runner's
+   grid), and forcing a lazy value that another domain is forcing
+   raises [CamlinternalLazy.Undefined]; the lock serialises the first
+   force. *)
 let builtin = lazy (parse_lines builtin_lines)
-let default () = Lazy.force builtin
+let builtin_lock = Mutex.create ()
+let default () = Mutex.protect builtin_lock (fun () -> Lazy.force builtin)
 
 let load_file path =
   let ic = open_in path in

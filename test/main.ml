@@ -6,4 +6,4 @@ let () =
    @ Test_layout.suite @ Test_misc.suite @ Test_event_heap.suite
    @ Test_fi.suite @ Test_obs.suite @ Test_pmu.suite @ Test_backend.suite
    @ Test_golden.suite @ Test_serve.suite @ Test_superopt.suite
-   @ Test_csr.suite @ Test_place.suite)
+   @ Test_csr.suite @ Test_place.suite @ Test_launch.suite)

@@ -157,14 +157,19 @@ let mk_args c =
   in
   { Interp.buffers; scalars = [ ("n", Int32.of_int c.gsize) ] }
 
+(* every buffer's final contents, in argument order *)
+let outputs r (args : Interp.args) =
+  List.map (fun (name, _) -> (name, Run_fgpu.output r name)) args.Interp.buffers
+
 let observe c ~backend ~domains =
   let config = Config.with_cus Config.default c.cus in
   let compiled = Codegen_fgpu.compile c.kernel in
+  let args = mk_args c in
   let r =
-    Run_fgpu.run ~config ~backend ~domains compiled ~args:(mk_args c)
-      ~global_size:c.gsize ~local_size:c.lsize ()
+    Run_fgpu.run ~config ~backend ~domains compiled ~args ~global_size:c.gsize
+      ~local_size:c.lsize ()
   in
-  (Stats.to_assoc r.Run_fgpu.stats, r.Run_fgpu.buffers)
+  (Stats.to_assoc r.Run_fgpu.stats, outputs r args)
 
 let prop_backends_and_domains_agree =
   QCheck.Test.make ~name:"backend x domains differential" ~count:30 arb_case
@@ -186,15 +191,16 @@ let semantic_keys = [ "loads"; "stores"; "barriers"; "workgroups" ]
 let observe_superopt c ~superopt =
   let config = Config.with_cus Config.default c.cus in
   let compiled = Codegen_fgpu.compile ~superopt c.kernel in
+  let args = mk_args c in
   let r =
-    Run_fgpu.run ~config compiled ~args:(mk_args c) ~global_size:c.gsize
+    Run_fgpu.run ~config compiled ~args ~global_size:c.gsize
       ~local_size:c.lsize ()
   in
   let semantic =
     List.filter (fun (k, _) -> List.mem k semantic_keys)
       (Stats.to_assoc r.Run_fgpu.stats)
   in
-  (semantic, r.Run_fgpu.buffers)
+  (semantic, outputs r args)
 
 let prop_superopt_preserves_semantics =
   QCheck.Test.make ~name:"superopt peephole differential" ~count:30 arb_case

@@ -49,12 +49,12 @@ let division_program =
   |]
 
 let run_both ~program ~lanes ~words init =
-  let mem32 = Array.init words (fun i -> init i) in
-  let mem_exec = Array.map I32.of_int32 mem32 in
+  let mem_gpu = Array.init words (fun i -> I32.of_int32 (init i)) in
+  let mem_exec = Array.copy mem_gpu in
   let config = Ggpu_fgpu.Config.default in
   let stats =
     Ggpu_fgpu.Gpu.run config ~program ~params:[ 0l ] ~global_size:lanes
-      ~local_size:lanes ~mem:mem32
+      ~local_size:lanes ~mem:mem_gpu
   in
   ignore stats;
   let lanes_state =
@@ -62,7 +62,7 @@ let run_both ~program ~lanes ~words init =
       ~wg_size:lanes ~global_size:lanes ~params:[ 0l ]
       (Fgpu_predecode.of_program program)
   in
-  (mem32, Array.map I32.to_int32 mem_exec, lanes_state)
+  (Array.map I32.to_int32 mem_gpu, Array.map I32.to_int32 mem_exec, lanes_state)
 
 let test_exec_matches_gpu () =
   let lanes = 64 in
