@@ -1,7 +1,7 @@
 (* A/B harness: alternate lane engines in-process to separate real
    engine differences from machine noise, and report simulated cycles
-   with and without the superopt peephole so the cycle delta rides
-   along with throughput.
+   with and without move coalescing so the cycle delta rides along
+   with throughput.
 
    Times are process CPU time ([Sys.time]), so time the process spends
    descheduled does not count.  The engine that runs first alternates
@@ -20,8 +20,8 @@ let () =
   let w = Ggpu_kernels.Suite.find kernel in
   let size = w.Ggpu_kernels.Suite.round_size size in
   let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default cus in
-  let compile superopt =
-    Ggpu_kernels.Codegen_fgpu.compile ~superopt w.Ggpu_kernels.Suite.kernel
+  let compile coalesce =
+    Ggpu_kernels.Codegen_fgpu.compile ~coalesce w.Ggpu_kernels.Suite.kernel
   in
   let compiled = compile true in
   let run ?(compiled = compiled) backend =
@@ -38,13 +38,13 @@ let () =
     let words = Gc.minor_words () -. words0 in
     (r.Ggpu_kernels.Run_fgpu.stats, cpu, words)
   in
-  (* one-off simulated-cycle A/B: peephole on (the shipping default)
+  (* one-off simulated-cycle A/B: coalescing on (the shipping default)
      vs off — deterministic, so a single run of each suffices *)
   let opt_stats, _, _ = run Ggpu_fgpu.Gpu.Threaded in
   let base_stats, _, _ = run ~compiled:(compile false) Ggpu_fgpu.Gpu.Threaded in
   let opt_cyc = opt_stats.Ggpu_fgpu.Stats.cycles in
   let base_cyc = base_stats.Ggpu_fgpu.Stats.cycles in
-  Printf.printf "%s size=%d cus=%d: %d cycles (no-superopt %d, delta -%.2f%%)\n%!"
+  Printf.printf "%s size=%d cus=%d: %d cycles (uncoalesced %d, delta -%.2f%%)\n%!"
     kernel size cus opt_cyc base_cyc
     (100.0 *. float_of_int (base_cyc - opt_cyc) /. float_of_int (max 1 base_cyc));
   let engines =

@@ -366,7 +366,7 @@ let run_perf_dse () =
   in
   let speedup_vs_seed = seed_s /. csr_s in
   let speedup_vs_legacy = legacy_s /. csr_s in
-  let domains = Parallel.default_domains () in
+  let domains = Ggpu_par.Parallel.default_domains () in
   Printf.printf
     "table1 (12 versions): seed %.3fs (%d full STA recomputes) -> legacy \
      %.3fs -> csr %.3fs (%d STA calls, %d full)\n\
@@ -760,16 +760,16 @@ let run_perf_sim () =
     exec_domains agg_wf_per_s wf_speedup_vs_pr4 backend_ratio agg_cycles_per_s
     speedup_vs_seed agg_wf_per_s_int
     (if rv_wall > 0.0 then rv_cycles /. rv_wall else 0.0);
-  (* superopt peephole: dynamic cycle reduction per kernel, the
-     mined-rule payoff.  Baseline recompiles with ~superopt:false; the
-     headline rows above already run the optimised (default) code, so
-     only the baseline needs a fresh launch.  Gated in CI via
-     PERF_SIM_MIN_CYCLE_REDUCTION on the aggregate percentage. *)
+  (* move coalescing: dynamic cycle reduction per kernel.  Baseline
+     recompiles with ~coalesce:false; the headline rows above already
+     run the coalesced (default) code, so only the baseline needs a
+     fresh launch.  Gated in CI via PERF_SIM_MIN_CYCLE_REDUCTION on the
+     aggregate percentage. *)
   let reduction_rows =
     List.map2
       (fun w (r : sim_row) ->
         let open Ggpu_kernels in
-        let compiled = Codegen_fgpu.compile ~superopt:false w.Suite.kernel in
+        let compiled = Codegen_fgpu.compile ~coalesce:false w.Suite.kernel in
         let result =
           Run_fgpu.run ~config:fgpu_config ~backend:Ggpu_fgpu.Gpu.Threaded
             ~domains:exec_domains compiled
@@ -786,7 +786,7 @@ let run_perf_sim () =
     if base <= 0 then 0.0
     else 100.0 *. float_of_int (base - opt) /. float_of_int base
   in
-  Printf.printf "superopt peephole cycle reduction (4 CUs):\n";
+  Printf.printf "move coalescing cycle reduction (4 CUs):\n";
   List.iter
     (fun (name, base, opt) ->
       Printf.printf "  %-13s %10d -> %10d  (-%.2f%%)\n" name base opt
@@ -975,13 +975,13 @@ let run_perf_sim () =
         threshold;
       exit 1
   | _ -> ());
-  (* gate the superopt win: the mined table must keep buying back an
-     aggregate cycle reduction over the unoptimised codegen *)
+  (* gate the coalescing win: the pass must keep buying back an
+     aggregate cycle reduction over the uncoalesced codegen *)
   match Sys.getenv_opt "PERF_SIM_MIN_CYCLE_REDUCTION" with
   | Some threshold when agg_reduction_pct < float_of_string threshold ->
       Printf.eprintf
-        "perf-sim: superopt cycle reduction %.2f%% below required %s%% (%d \
-         kernels improved)\n"
+        "perf-sim: move coalescing cycle reduction %.2f%% below required \
+         %s%% (%d kernels improved)\n"
         agg_reduction_pct threshold kernels_improved;
       exit 1
   | _ -> ()

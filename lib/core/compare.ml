@@ -71,11 +71,11 @@ let run_riscv (w : Suite.t) =
   in
   result.Run_rv32.stats.Ggpu_riscv.Cpu.cycles
 
-let run_ggpu ?backend ?domains ?superopt (w : Suite.t) ~num_cus =
+let run_ggpu ?backend ?domains (w : Suite.t) ~num_cus =
   let size = w.Suite.ggpu_size in
   let config = Ggpu_fgpu.Config.with_cus Ggpu_fgpu.Config.default num_cus in
   let args = w.Suite.mk_args ~size in
-  let compiled = Codegen_fgpu.compile ?superopt w.Suite.kernel in
+  let compiled = Codegen_fgpu.compile w.Suite.kernel in
   let result =
     Run_fgpu.run ~config ?backend ?domains compiled ~args
       ~global_size:(w.Suite.global_size ~size)
@@ -85,8 +85,8 @@ let run_ggpu ?backend ?domains ?superopt (w : Suite.t) ~num_cus =
   result.Run_fgpu.stats.Ggpu_fgpu.Stats.cycles
 
 (* Table III: input sizes and measured cycle counts. *)
-let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
-    ?(cu_counts = cu_counts) () =
+let table3 ?(workloads = Suite.all) ?backend ?domains ?(cu_counts = cu_counts)
+    () =
   check_cu_counts cu_counts;
   List.map
     (fun w ->
@@ -99,7 +99,7 @@ let table3 ?(workloads = Suite.all) ?backend ?domains ?superopt
           List.map
             (fun cus ->
               ( cus,
-                float_of_int (run_ggpu ?backend ?domains ?superopt w ~num_cus:cus)
+                float_of_int (run_ggpu ?backend ?domains w ~num_cus:cus)
                 /. 1000.0 ))
             cu_counts;
       })

@@ -36,20 +36,17 @@ val run_riscv : Ggpu_kernels.Suite.t -> int
 val run_ggpu :
   ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
-  ?superopt:bool ->
   Ggpu_kernels.Suite.t ->
   num_cus:int ->
   int
 (** Cycle count at the workload's G-GPU size.  [backend] selects the
     simulator execution engine and [domains] the CU-parallel split;
-    cycle counts are bit-identical for any combination.  [superopt]
-    (default true) is forwarded to {!Ggpu_kernels.Codegen_fgpu.compile}. *)
+    cycle counts are bit-identical for any combination. *)
 
 val table3 :
   ?workloads:Ggpu_kernels.Suite.t list ->
   ?backend:Ggpu_fgpu.Gpu.backend ->
   ?domains:int ->
-  ?superopt:bool ->
   ?cu_counts:int list ->
   unit ->
   row list

@@ -10,17 +10,17 @@ type compiled = {
   code : Ggpu_isa.Fgpu_isa.t array;
   param_regs : (string * int) list;  (** parameter name -> register *)
   max_live : int;  (** allocator pressure, for diagnostics *)
-  peephole : Ggpu_superopt.Peephole.report;
-      (** what the post-assembly superopt pass did (empty when
-          [superopt:false]) *)
 }
 
 exception Too_many_params of string
 
-val compile : ?optimise:bool -> ?superopt:bool -> Ast.kernel -> compiled
+val compile : ?optimise:bool -> ?coalesce:bool -> Ast.kernel -> compiled
 (** [optimise] (default true) runs {!Opt.optimise} on the IR first.
-    [superopt] (default true) then applies the mined peephole rule
-    table ({!Ggpu_superopt.Rules.default}) to the assembled code.
+    [coalesce] (default true) then runs {!Opt.coalesce_moves}; [false]
+    gives the uncoalesced baseline that the cycle-reduction gate and
+    the golden table's pre-coalescing column measure against.  The
+    RV32 back end never coalesces, so Table III's RV32 column is
+    independent of this pass.
     @raise Too_many_params beyond 8 parameters.
     @raise Regalloc.Register_pressure if the kernel needs more than the
     19 allocatable registers.

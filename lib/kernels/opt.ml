@@ -14,7 +14,8 @@
 
    Passes iterate to a fixpoint (bounded), preserving the program's
    observable behaviour: stores, barriers, control flow and `Ret` are
-   never removed. *)
+   never removed.  [coalesce_moves] is separate: only the FGPU back end
+   runs it. *)
 
 let fold_binop op a b =
   let shift f = f a (Int32.to_int b land 31) in
@@ -93,18 +94,24 @@ let constant_fold insns =
       | _ -> Some insn)
     insns
 
-(* Registers assigned exactly once in the whole program. *)
-let single_assignment insns =
+(* How often each register occurs in [regs insn] over the program
+   ([Vir.defs] or [Vir.uses]). *)
+let occurrences regs insns =
   let counts = Hashtbl.create 64 in
   List.iter
     (fun insn ->
       List.iter
-        (fun d ->
-          Hashtbl.replace counts d
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts d)))
-        (Vir.defs insn))
+        (fun v ->
+          Hashtbl.replace counts v
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
+        (regs insn))
     insns;
-  fun v -> Hashtbl.find_opt counts v = Some 1
+  fun v -> Option.value ~default:0 (Hashtbl.find_opt counts v)
+
+(* Registers assigned exactly once in the whole program. *)
+let single_assignment insns =
+  let defs = occurrences Vir.defs insns in
+  fun v -> defs v = 1
 
 (* Propagate `Mov (y, src)` into later uses of y, when both y and (if a
    register) src are single-assignment: their values cannot change
@@ -180,7 +187,9 @@ let jump_threading insns =
 let run_once insns =
   insns |> copy_propagate |> constant_fold |> jump_threading |> dead_code
 
-let optimise ?(max_passes = 8) (program : Vir.program) =
+let max_passes = 8
+
+let optimise (program : Vir.program) =
   let rec fixpoint insns passes =
     if passes = 0 then insns
     else
@@ -188,3 +197,30 @@ let optimise ?(max_passes = 8) (program : Vir.program) =
       if next = insns then insns else fixpoint next (passes - 1)
   in
   { program with Vir.insns = fixpoint program.Vir.insns max_passes }
+
+(* Move coalescing: `t <- e; y <- t` becomes `y <- e` when the move is
+   the only read of t and t has no other def.  This is the loop-carried
+   copy (`acc = acc + x`) that copy propagation leaves alone because y
+   is assigned more than once; LLVM's register coalescer removes it as
+   a matter of course.  The rewritten def still reads its operands
+   before writing y, so `t <- y + x; y <- t` is safe.  A single def of
+   t also rules out y = t, since the move would be a second one. *)
+let coalesce_moves (program : Vir.program) =
+  let insns = program.Vir.insns in
+  let defs = occurrences Vir.defs insns and uses = occurrences Vir.uses insns in
+  let retarget y = function
+    | Vir.Bin (op, _, a, b) -> Vir.Bin (op, y, a, b)
+    | Vir.Cmp (op, _, a, b) -> Vir.Cmp (op, y, a, b)
+    | Vir.Load (_, buf, idx) -> Vir.Load (y, buf, idx)
+    | insn -> insn
+  in
+  let rec go = function
+    | ((Vir.Bin _ | Vir.Cmp _ | Vir.Load _) as insn)
+      :: Vir.Mov (y, Vir.Reg t)
+      :: rest
+      when Vir.defs insn = [ t ] && defs t = 1 && uses t = 1 ->
+        go (retarget y insn :: rest)
+    | insn :: rest -> insn :: go rest
+    | [] -> []
+  in
+  { program with Vir.insns = go insns }

@@ -7,6 +7,12 @@
 val fold_binop : Ast.binop -> int32 -> int32 -> int32 option
 val fold_cmp : Ast.cmpop -> int32 -> int32 -> int32
 
-val optimise : ?max_passes:int -> Vir.program -> Vir.program
+val optimise : Vir.program -> Vir.program
 (** Semantics-preserving; see the property tests in
     [test/test_compiler.ml]. *)
+
+val coalesce_moves : Vir.program -> Vir.program
+(** Retarget a [Bin], [Cmp] or [Load] defining [t] to write [y] directly
+    when it is immediately followed by [Mov (y, Reg t)] and [t] has
+    exactly one def and one use (that move) in the program; the move is
+    dropped.  Semantics-preserving. *)

@@ -32,7 +32,6 @@ val run :
   ?pmu_stride:int ->
   ?backend:Ggpu_fgpu.Gpu.backend ->
   ?sim_domains:int ->
-  ?superopt:bool ->
   job list ->
   result list * Ggpu_obs.Metrics.snapshot
 (** Run all jobs (order-preserving) and merge their per-job metric
@@ -40,8 +39,6 @@ val run :
     {!Ggpu_pmu.Pmu} collector per job — simulated results stay
     bit-identical; only the per-job [pmu] summaries appear.
     [pmu_stride] sets the hot-PC sampling period in cycles.
-    [superopt] (default true) is forwarded to
-    {!Codegen_fgpu.compile} — [false] disables the peephole pass.
     [backend] and [sim_domains] are forwarded to each job's simulator
     launch ({!Ggpu_fgpu.Gpu.run}); [sim_domains] fans out the
     functional phase *within* one simulation and is independent of

@@ -179,18 +179,18 @@ let prop_backends_and_domains_agree =
         (fun (backend, domains) -> observe c ~backend ~domains = reference)
         [ (Gpu.Threaded, 1); (Gpu.Threaded, 3); (Gpu.Threaded, 4); (Gpu.Interp, 2) ])
 
-(* --- superopt peephole differential ------------------------------------ *)
+(* --- move coalescing differential --------------------------------------- *)
 
-(* The peephole pass is allowed to change timing observables (cycles,
+(* Move coalescing is allowed to change timing observables (cycles,
    instruction counts, vu_busy, divergent issue counts) but nothing
    else: output buffers must be bit-identical, and so must every
-   memory/synchronisation counter, since the pass never rewrites a
-   load, store or barrier. *)
+   memory/synchronisation counter, since the pass only drops
+   register-to-register moves. *)
 let semantic_keys = [ "loads"; "stores"; "barriers"; "workgroups" ]
 
-let observe_superopt c ~superopt =
+let observe_coalesce c ~coalesce =
   let config = Config.with_cus Config.default c.cus in
-  let compiled = Codegen_fgpu.compile ~superopt c.kernel in
+  let compiled = Codegen_fgpu.compile ~coalesce c.kernel in
   let args = mk_args c in
   let r =
     Run_fgpu.run ~config compiled ~args ~global_size:c.gsize
@@ -202,10 +202,10 @@ let observe_superopt c ~superopt =
   in
   (semantic, outputs r args)
 
-let prop_superopt_preserves_semantics =
-  QCheck.Test.make ~name:"superopt peephole differential" ~count:30 arb_case
+let prop_coalesce_preserves_semantics =
+  QCheck.Test.make ~name:"move coalescing differential" ~count:30 arb_case
     (fun c ->
-      observe_superopt c ~superopt:true = observe_superopt c ~superopt:false)
+      observe_coalesce c ~coalesce:true = observe_coalesce c ~coalesce:false)
 
 (* --- fixed cross-wavefront barrier case -------------------------------- *)
 
@@ -308,7 +308,7 @@ let suite =
     ( "backend",
       [
         QCheck_alcotest.to_alcotest prop_backends_and_domains_agree;
-        QCheck_alcotest.to_alcotest prop_superopt_preserves_semantics;
+        QCheck_alcotest.to_alcotest prop_coalesce_preserves_semantics;
         Alcotest.test_case "split barrier cross-wavefront" `Quick
           test_split_barrier_cross_wavefront;
         Alcotest.test_case "suite.failures registered at zero" `Quick

@@ -221,6 +221,79 @@ let test_opt_speeds_up_execution () =
   Alcotest.(check bool) "not slower" true
     (cycles ~optimise:true <= cycles ~optimise:false)
 
+(* --- Move coalescing ---------------------------------------------------- *)
+
+let acc_loop_src =
+  {|
+  kernel acc_loop(global int* out, int n) {
+    int i = get_global_id(0);
+    int acc = 0;
+    for (int k = 0; k < n; k++) { acc = acc + k; }
+    out[i] = acc;
+  }
+|}
+
+let test_coalesce_loop_carried () =
+  let program = Opt.optimise (Lower.lower (Parse.parse_one acc_loop_src)) in
+  let coalesced = Opt.coalesce_moves program in
+  Alcotest.(check int) "one move dropped" (count_insns program - 1)
+    (count_insns coalesced);
+  Alcotest.(check bool) "no register move left" false
+    (List.exists
+       (function Vir.Mov (_, Vir.Reg _) -> true | _ -> false)
+       coalesced.Vir.insns);
+  Alcotest.(check bool) "acc updated in place" true
+    (List.exists
+       (function
+         | Vir.Bin (Ast.Add, d, Vir.Reg s, _) -> d = s | _ -> false)
+       coalesced.Vir.insns)
+
+(* v1 = acc, v2 = temp, v3 = x; [extra] is spliced in at the end. *)
+let loop_program ?(between = []) ?(extra = []) () =
+  {
+    Vir.kernel_name = "k";
+    buffers = [ "out" ];
+    scalars = [ "x" ];
+    insns =
+      [ Vir.Read_param ("x", 3); Vir.Mov (1, Vir.Imm 0l); Vir.Label "loop";
+        Vir.Bin (Ast.Add, 2, Vir.Reg 1, Vir.Reg 3) ]
+      @ between
+      @ [ Vir.Mov (1, Vir.Reg 2);
+          Vir.Branch_if (Ast.Lt, Vir.Reg 1, Vir.Imm 100l, "loop");
+          Vir.Store ("out", Vir.Imm 0l, Vir.Reg 1) ]
+      @ extra @ [ Vir.Ret ];
+  }
+
+let test_coalesce_negative () =
+  let unchanged label p =
+    Alcotest.(check (list string)) label
+      (List.map Vir.insn_to_string p.Vir.insns)
+      (List.map Vir.insn_to_string (Opt.coalesce_moves p).Vir.insns)
+  in
+  unchanged "temp read twice"
+    (loop_program ~extra:[ Vir.Store ("out", Vir.Imm 1l, Vir.Reg 2) ] ());
+  unchanged "temp defined twice"
+    (loop_program ~extra:[ Vir.Mov (2, Vir.Imm 7l) ] ());
+  unchanged "move not adjacent"
+    (loop_program ~between:[ Vir.Store ("out", Vir.Imm 1l, Vir.Reg 3) ] ());
+  (* and the plain loop does fire, so the cases above are not vacuous *)
+  Alcotest.(check int) "plain loop coalesces"
+    (count_insns (loop_program ()) - 1)
+    (count_insns (Opt.coalesce_moves (loop_program ())))
+
+(* The pass's whole effect on the suite: one instruction (the inner
+   loop's carried copy) on four kernels, nothing on the other three. *)
+let test_coalesce_suite_scope () =
+  List.iter
+    (fun (name, saved) ->
+      let kernel = (Suite.find name).Suite.kernel in
+      let len coalesce =
+        Array.length (Codegen_fgpu.compile ~coalesce kernel).Codegen_fgpu.code
+      in
+      Alcotest.(check int) name saved (len false - len true))
+    [ ("mat_mul", 1); ("fir", 1); ("xcorr", 1); ("parallel_sel", 1);
+      ("copy", 0); ("vec_mul", 0); ("div_int", 0) ]
+
 (* --- Verilog export ----------------------------------------------------- *)
 
 let contains s sub =
@@ -265,6 +338,12 @@ let suite =
         Alcotest.test_case "opt preserves stores" `Quick
           test_opt_preserves_stores_and_control;
         Alcotest.test_case "opt not slower" `Quick test_opt_speeds_up_execution;
+        Alcotest.test_case "coalesce loop-carried copy" `Quick
+          test_coalesce_loop_carried;
+        Alcotest.test_case "coalesce leaves unsafe moves" `Quick
+          test_coalesce_negative;
+        Alcotest.test_case "coalesce suite scope" `Quick
+          test_coalesce_suite_scope;
         Alcotest.test_case "verilog export" `Quick test_verilog_export;
         QCheck_alcotest.to_alcotest prop_opt_semantics_preserved;
       ] );
