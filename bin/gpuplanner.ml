@@ -958,7 +958,10 @@ let perf_report_cmd =
 
 let profile_cmd =
   let workload_term =
-    let doc = "Workload to profile: dse | layout | sim | fi | table1." in
+    let doc =
+      "Workload to profile: dse | layout | sim | fi | table1 | compare \
+       (Table III, every kernel at 1/2/4/8 CUs)."
+    in
     Arg.(value & pos 0 string "dse" & info [] ~doc ~docv:"WORKLOAD")
   in
   let run obs tech cus freq backend workload =
@@ -1003,8 +1006,10 @@ let profile_cmd =
              ~workload:(Ggpu_kernels.Suite.find "copy")
              ~size:512 ~trials:200 ~seed:42 ())
     | "table1" -> ignore (Versions.table1 ~tech ())
+    | "compare" -> ignore (Compare.table3 ~backend ())
     | other ->
-        Printf.eprintf "unknown workload %s (dse|layout|sim|fi|table1)\n" other;
+        Printf.eprintf "unknown workload %s (dse|layout|sim|fi|table1|compare)\n"
+          other;
         exit 1);
     Format.printf "%a@." Ggpu_obs.Profile.pp_table
       (Ggpu_obs.Profile.self_times (Ggpu_obs.Trace.events ()));

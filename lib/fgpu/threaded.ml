@@ -37,7 +37,15 @@
    invariants: a uniform branch outcome on the dense path updates only
    [conv_pc] and leaves [pcs] stale (the interpreting path writes real
    pcs first), which is unobservable because every external reader goes
-   through {!Wavefront.materialize_pcs}. *)
+   through {!Wavefront.materialize_pcs}.
+
+   Dense closures also execute wavefront-uniform instructions once.
+   [Wavefront.uni] records which register slices hold one value in
+   every lane; an ALU op, load or branch whose sources are all uniform
+   runs its scalar arm (one computation from lane 0, one memory check,
+   one comparison) and broadcasts the result to every lane, so the
+   register file is the one the lane loop would have written.  Every
+   closure that writes a register keeps the destination's bit. *)
 
 open Ggpu_isa
 
@@ -190,6 +198,62 @@ let rec d_lid (regs : int array) od first lane n =
     Array.unsafe_set regs (od + lane) (first + lane);
     d_lid regs od first (lane + 1) n
   end
+
+(* ------------------------------------------------------------------ *)
+(* Scalar arms of the dense closures.  When every source slice of an
+   instruction is uniform ([Wavefront.uni]), lane 0's result is every
+   lane's: it is computed once and broadcast, so the register file
+   stays exactly what the lane loop would have written.  Each arm sets
+   the destination's bit; the lane-loop arms clear it. *)
+
+let rec fill (regs : int array) od v lane n =
+  if lane < n then begin
+    Array.unsafe_set regs (od + lane) v;
+    fill regs od v (lane + 1) n
+  end
+
+(* Uniformity bit of a destination, after the x0 sink redirection: x0
+   itself is never written and stays uniform. *)
+let dst_bit rd = 1 lsl (if rd = 0 then Wavefront.sink_reg else rd)
+
+(* A lane loop wrote the destination: its lanes may now differ. *)
+let[@inline] clear_uni (wf : Wavefront.t) dbit =
+  wf.Wavefront.uni <- wf.Wavefront.uni land lnot dbit
+
+(* Dense ALU prologue: advance [conv_pc], and if the sources in [srcs]
+   are uniform run the scalar arm ([b] is the second operand's value,
+   read by the caller) and answer [true]; otherwise clear the
+   destination's bit and answer [false] so the caller runs its lane
+   loop. *)
+let[@inline] scalar_alui (wf : Wavefront.t) next op srcs o1 b od dbit size =
+  wf.Wavefront.conv_pc <- next;
+  let u = wf.Wavefront.uni in
+  if u land srcs = srcs then begin
+    let regs = wf.Wavefront.regs in
+    fill regs od (Wavefront.alu op (Array.unsafe_get regs o1) b) 0 size;
+    wf.Wavefront.uni <- u lor dbit;
+    true
+  end
+  else begin
+    clear_uni wf dbit;
+    false
+  end
+
+let[@inline] scalar_alu (wf : Wavefront.t) next op srcs o1 o2 od dbit size =
+  scalar_alui wf next op srcs o1
+    (Array.unsafe_get wf.Wavefront.regs o2)
+    od dbit size
+
+(* Dense branch with both operands uniform: one comparison decides the
+   whole wavefront, which stays converged ([pcs] stay stale). *)
+let[@inline] branch_scalar (wf : Wavefront.t) (out : Wavefront.outcome) c o1
+    o2 target next =
+  let regs = wf.Wavefront.regs in
+  let tk =
+    Wavefront.cond_holds c (Array.unsafe_get regs o1) (Array.unsafe_get regs o2)
+  in
+  wf.Wavefront.conv_pc <- (if tk then target else next);
+  out.Wavefront.taken_branch <- tk
 
 (* Branch taken-lane counts, one comparison kind each. *)
 
@@ -794,78 +858,89 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
       | Fgpu_predecode.KAlu ->
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
-          and o2 = d.Fgpu_predecode.rs2 * size in
+          and o2 = d.Fgpu_predecode.rs2 * size
+          and aop = d.Fgpu_predecode.aop in
+          let srcs = (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rs2)
+          and dbit = dst_bit d.Fgpu_predecode.rd in
           let dn : op =
-            match d.Fgpu_predecode.aop with
+            match aop with
             | Fgpu_isa.Add ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_add wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_add wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Sub ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_sub wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_sub wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Mul ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_mul wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_mul wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.And ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_and wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_and wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Or ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_or wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_or wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Slt ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_slt wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_slt wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Sll ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_sll wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_sll wf.Wavefront.regs o1 o2 od 0 size
             | Fgpu_isa.Xor ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_xor wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_xor wf.Wavefront.regs o1 o2 od 0 size
             | op ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  d_gen op wf.Wavefront.regs o1 o2 od 0 size
+                  if not (scalar_alu wf next aop srcs o1 o2 od dbit size) then
+                    d_gen op wf.Wavefront.regs o1 o2 od 0 size
           in
           let sp : op =
             match d.Fgpu_predecode.aop with
             | Fgpu_isa.Add ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_add wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.Sub ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_sub wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.Mul ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_mul wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.And ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_and wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.Or ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_or wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.Slt ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_slt wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | Fgpu_isa.Xor ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_xor wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0 size
                     0
             | op ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_gen op wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 o2 od 0
                     size 0
           in
@@ -873,72 +948,82 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
       | Fgpu_predecode.KAlui ->
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
-          and b = d.Fgpu_predecode.imm in
+          and b = d.Fgpu_predecode.imm
+          and aop = d.Fgpu_predecode.aop in
+          let srcs = 1 lsl d.Fgpu_predecode.rs1
+          and dbit = dst_bit d.Fgpu_predecode.rd in
           let dn : op =
-            match d.Fgpu_predecode.aop with
+            match aop with
             | Fgpu_isa.Add ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_add wf.Wavefront.regs o1 b od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_add wf.Wavefront.regs o1 b od 0 size
             | Fgpu_isa.And ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_and wf.Wavefront.regs o1 b od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_and wf.Wavefront.regs o1 b od 0 size
             | Fgpu_isa.Srl ->
                 let sh = b land 31 in
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_srl wf.Wavefront.regs o1 sh od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_srl wf.Wavefront.regs o1 sh od 0 size
             | Fgpu_isa.Sll ->
                 let sh = b land 31 in
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_sll wf.Wavefront.regs o1 sh od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_sll wf.Wavefront.regs o1 sh od 0 size
             | Fgpu_isa.Xor ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_xor wf.Wavefront.regs o1 b od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_xor wf.Wavefront.regs o1 b od 0 size
             | Fgpu_isa.Sltu ->
                 let bu = b land I32.mask in
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_sltu wf.Wavefront.regs o1 bu od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_sltu wf.Wavefront.regs o1 bu od 0 size
             | op ->
                 fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  di_gen op wf.Wavefront.regs o1 b od 0 size
+                  if not (scalar_alui wf next aop srcs o1 b od dbit size) then
+                    di_gen op wf.Wavefront.regs o1 b od 0 size
           in
           let sp : op =
             match d.Fgpu_predecode.aop with
             | Fgpu_isa.Add ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   si_add wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
                     size 0
             | Fgpu_isa.Xor ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   si_xor wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
                     size 0
             | Fgpu_isa.Sltu ->
                 let bu = b land I32.mask in
                 fun wf _ ->
+                  clear_uni wf dbit;
                   si_sltu wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 bu od 0
                     size 0
             | op ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   si_gen op wf wf.Wavefront.regs wf.Wavefront.pcs pc next o1 b od 0
                     size 0
           in
           (dn, sp)
       | Fgpu_predecode.KLoadImm ->
           let od = dst_off ~size d.Fgpu_predecode.rd
-          and v = d.Fgpu_predecode.imm in
+          and v = d.Fgpu_predecode.imm
+          and dbit = dst_bit d.Fgpu_predecode.rd in
           let dn : op =
            fun wf _ ->
             wf.Wavefront.conv_pc <- next;
-            Array.fill wf.Wavefront.regs od size v
+            fill wf.Wavefront.regs od v 0 size;
+            wf.Wavefront.uni <- wf.Wavefront.uni lor dbit
           in
           let sp : op =
            fun wf _ ->
+            clear_uni wf dbit;
             s_fill wf wf.Wavefront.regs wf.Wavefront.pcs pc next od v 0
                     size 0
           in
@@ -946,22 +1031,39 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
       | Fgpu_predecode.KLw ->
           let od = dst_off ~size d.Fgpu_predecode.rd
           and o1 = d.Fgpu_predecode.rs1 * size
-          and off = d.Fgpu_predecode.imm in
+          and off = d.Fgpu_predecode.imm
+          and abit = 1 lsl d.Fgpu_predecode.rs1
+          and dbit = dst_bit d.Fgpu_predecode.rd in
+          (* a uniform address is one access: lane 0 is checked first
+             either way, so the line count, the fault and the state it
+             leaves match the lane loop's *)
           let dn : op =
            fun wf out ->
             wf.Wavefront.conv_pc <- next;
-            let regs = wf.Wavefront.regs in
-            for lane = 0 to size - 1 do
-              let addr = Array.unsafe_get regs (o1 + lane) + off in
+            let regs = wf.Wavefront.regs and u = wf.Wavefront.uni in
+            if u land abit <> 0 then begin
               let w =
-                Wavefront.coalesce_and_check out ~line_bytes ~mem_words addr
+                Wavefront.coalesce_and_check out ~line_bytes ~mem_words
+                  (Array.unsafe_get regs o1 + off)
               in
-              Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w)
-            done
+              fill regs od (Array.unsafe_get mem w) 0 size;
+              wf.Wavefront.uni <- u lor dbit
+            end
+            else begin
+              clear_uni wf dbit;
+              for lane = 0 to size - 1 do
+                let addr = Array.unsafe_get regs (o1 + lane) + off in
+                let w =
+                  Wavefront.coalesce_and_check out ~line_bytes ~mem_words addr
+                in
+                Array.unsafe_set regs (od + lane) (Array.unsafe_get mem w)
+              done
+            end
           in
           let sp : op =
            fun wf out ->
             wf.Wavefront.sel_valid <- false;
+            clear_uni wf dbit;
             let regs = wf.Wavefront.regs and pcs = wf.Wavefront.pcs in
             for lane = 0 to size - 1 do
               if Array.unsafe_get pcs lane = pc then begin
@@ -1013,75 +1115,97 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           and o2 = d.Fgpu_predecode.rd * size
           and target = pc + 1 + d.Fgpu_predecode.imm
           and c = d.Fgpu_predecode.cnd in
-          (* dense: first pass only counts; real per-lane pcs are
-             written only on a mixed outcome, so uniform branches —
-             the common case — never touch [pcs] at all (it stays
-             stale under [conv_pc], which every external reader
-             materialises first) *)
+          let srcs = (1 lsl d.Fgpu_predecode.rs1) lor (1 lsl d.Fgpu_predecode.rd) in
+          (* dense: uniform operands decide the branch once
+             ({!branch_scalar}); otherwise the first pass only counts,
+             and real per-lane pcs are written only on a mixed
+             outcome, so uniform branches — the common case — never
+             touch [pcs] at all (it stays stale under [conv_pc], which
+             every external reader materialises first) *)
           let dn : op =
             match c with
             | Fgpu_isa.Lt ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_lt regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uni land srcs = srcs then
+                    branch_scalar wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_lt regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_lt regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_lt regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Ge ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_ge regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uni land srcs = srcs then
+                    branch_scalar wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_ge regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_ge regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_ge regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Eq ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk =
-                    b_eq regs wf.Wavefront.pcs o1 o2 target next 0 size 0
-                  in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uni land srcs = srcs then
+                    branch_scalar wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk =
+                      b_eq regs wf.Wavefront.pcs o1 o2 target next 0 size 0
+                    in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | Fgpu_isa.Ne ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk =
-                    b_ne regs wf.Wavefront.pcs o1 o2 target next 0 size 0
-                  in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uni land srcs = srcs then
+                    branch_scalar wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk =
+                      b_ne regs wf.Wavefront.pcs o1 o2 target next 0 size 0
+                    in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
             | c ->
                 fun wf out ->
-                  let regs = wf.Wavefront.regs in
-                  let tk = c_gen c regs o1 o2 0 size 0 in
-                  if tk = 0 then wf.Wavefront.conv_pc <- next
-                  else if tk = size then wf.Wavefront.conv_pc <- target
+                  if wf.Wavefront.uni land srcs = srcs then
+                    branch_scalar wf out c o1 o2 target next
                   else begin
-                    wf.Wavefront.conv_pc <- -1;
-                    w_gen c regs wf.Wavefront.pcs o1 o2 target next 0 size;
-                    set_split_sel wf target next tk size
-                  end;
-                  out.Wavefront.taken_branch <- tk > 0
+                    let regs = wf.Wavefront.regs in
+                    let tk = c_gen c regs o1 o2 0 size 0 in
+                    if tk = 0 then wf.Wavefront.conv_pc <- next
+                    else if tk = size then wf.Wavefront.conv_pc <- target
+                    else begin
+                      wf.Wavefront.conv_pc <- -1;
+                      w_gen c regs wf.Wavefront.pcs o1 o2 target next 0 size;
+                      set_split_sel wf target next tk size
+                    end;
+                    out.Wavefront.taken_branch <- tk > 0
+                  end
           in
           let sp : op =
             match c with
@@ -1127,53 +1251,54 @@ let compile (dprog : Fgpu_predecode.t array) ~wf_size:size ~(mem : int array)
           (dn, sp)
       | Fgpu_predecode.KSpecial ->
           let od = dst_off ~size d.Fgpu_predecode.rd
-          and s = d.Fgpu_predecode.sp in
+          and s = d.Fgpu_predecode.sp
+          and dbit = dst_bit d.Fgpu_predecode.rd in
+          (* every special but the local id is one value per wavefront *)
+          let broadcast (wf : Wavefront.t) v =
+            wf.Wavefront.conv_pc <- next;
+            fill wf.Wavefront.regs od v 0 size;
+            wf.Wavefront.uni <- wf.Wavefront.uni lor dbit
+          in
           let dn : op =
             match s with
             | Fgpu_isa.Lid ->
                 fun wf _ ->
                   wf.Wavefront.conv_pc <- next;
+                  clear_uni wf dbit;
                   d_lid wf.Wavefront.regs od
                     (wf.Wavefront.wf_index * size)
                     0 size
-            | Fgpu_isa.Wgid ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_id
-            | Fgpu_isa.Wgoff ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_offset
-            | Fgpu_isa.Wgsize ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.wg_size
-            | Fgpu_isa.Gsize ->
-                fun wf _ ->
-                  wf.Wavefront.conv_pc <- next;
-                  Array.fill wf.Wavefront.regs od size wf.Wavefront.global_size
+            | Fgpu_isa.Wgid -> fun wf _ -> broadcast wf wf.Wavefront.wg_id
+            | Fgpu_isa.Wgoff -> fun wf _ -> broadcast wf wf.Wavefront.wg_offset
+            | Fgpu_isa.Wgsize -> fun wf _ -> broadcast wf wf.Wavefront.wg_size
+            | Fgpu_isa.Gsize -> fun wf _ -> broadcast wf wf.Wavefront.global_size
           in
           let sp : op =
             match s with
             | Fgpu_isa.Lid ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_lid wf wf.Wavefront.regs wf.Wavefront.pcs pc next od
                     (wf.Wavefront.wf_index * size)
                     0 size 0
             | Fgpu_isa.Wgid ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_fill wf wf.Wavefront.regs wf.Wavefront.pcs pc next od wf.Wavefront.wg_id 0
                     size 0
             | Fgpu_isa.Wgoff ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_fill wf wf.Wavefront.regs wf.Wavefront.pcs pc next od wf.Wavefront.wg_offset 0
                     size 0
             | Fgpu_isa.Wgsize ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_fill wf wf.Wavefront.regs wf.Wavefront.pcs pc next od wf.Wavefront.wg_size 0
                     size 0
             | Fgpu_isa.Gsize ->
                 fun wf _ ->
+                  clear_uni wf dbit;
                   s_fill wf wf.Wavefront.regs wf.Wavefront.pcs pc next od wf.Wavefront.global_size 0
                     size 0
           in

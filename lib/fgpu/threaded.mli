@@ -5,10 +5,13 @@
     immediates and branch targets captured at compile time.
 
     Behaviourally interchangeable with the interpreting path: for any
-    wavefront state, {!issue} leaves the wavefront, the outcome record
-    and global memory exactly as {!Wavefront.issue} would — including
-    fault messages and memory-check ordering.  Enforced by the golden
-    cycle table and the differential property tests. *)
+    wavefront state whose [uni] bits hold (every bit set marks a slice
+    whose lanes agree; see {!Wavefront.t}), {!issue} leaves the
+    wavefront, the outcome record and global memory exactly as
+    {!Wavefront.issue} would — including fault messages and
+    memory-check ordering — and keeps the bits true.  Instructions
+    whose sources are all uniform run once per wavefront.  Enforced by
+    the golden cycle table and the differential property tests. *)
 
 type t
 

@@ -74,6 +74,9 @@ type t = {
       (* 33 slices x size lanes, register-major ([r * size + lane]);
          I32 canonical.  Slice 0 stays zero, slice 32 is the x0 sink. *)
   mutable conv_pc : int; (* every lane live at this pc; -1 = consult [pcs] *)
+  mutable uni : int;
+      (* bit [r] set: every lane of slice [r] holds the same value;
+         kept by the threaded backend only *)
   mutable sel_pc : int; (* cached scan_pcs result for the sparse path *)
   mutable sel_cnt : int;
   mutable sel_valid : bool;
@@ -155,6 +158,8 @@ let create ~regs ~wg_id ~wf_index ~size ~wg_offset ~wg_size ~global_size
     pcs;
     regs;
     conv_pc = (if live = size then 0 else -1);
+    (* zero-filled, params broadcast: every slice starts uniform *)
+    uni = -1;
     sel_pc = 0;
     sel_cnt = 0;
     sel_valid = false;
@@ -201,7 +206,10 @@ let reg t ~lane r =
   if r = 0 then 0l else I32.to_int32 t.regs.((r * t.size) + lane)
 
 let set_reg t ~lane r v =
-  if r <> 0 then t.regs.((r * t.size) + lane) <- I32.of_int32 v
+  if r <> 0 then begin
+    t.regs.((r * t.size) + lane) <- I32.of_int32 v;
+    t.uni <- t.uni land lnot (1 lsl r)
+  end
 
 let local_id t ~lane = (t.wf_index * t.size) + lane
 

@@ -36,6 +36,17 @@ type t = {
       (** incrementally-tracked convergence: when >= 0, every lane is
           live at this pc and [pcs] may be stale; -1 means [pcs] is
           authoritative *)
+  mutable uni : int;
+      (** register uniformity: bit [r] set means every lane of slice [r]
+          holds the same value, so the threaded backend may execute an
+          instruction whose sources are all uniform once, from lane 0,
+          and still write its result to every lane.  {!create} sets
+          every bit and {!set_reg} clears bit [r]; the threaded
+          backend's closures maintain it on every register write.
+          {!issue} neither reads nor maintains it: a wavefront is issued
+          by one engine for its whole life (one engine per
+          [Gpu.run]), so the bits are only ever read by the engine that
+          keeps them. *)
   mutable sel_pc : int;
   mutable sel_cnt : int;
   mutable sel_valid : bool;
@@ -135,6 +146,9 @@ val reg : t -> lane:int -> int -> int32
 (** Architectural register read as [int32] (fault-injection interface). *)
 
 val set_reg : t -> lane:int -> int -> int32 -> unit
+(** Architectural register write from outside the issue path (fault
+    injection); clears bit [r] of [uni]. *)
+
 val local_id : t -> lane:int -> int
 
 val issue :
