@@ -24,13 +24,20 @@
      adjacency (parallelizable across independent cones, which never
      share a net), and the incremental path re-sweeps dirty cones
      through a level-bucket queue so every dirty cell is relaxed at most
-     once per sync instead of once per worklist visit.
+     once per sync instead of once per worklist visit.  The worst
+     endpoint is kept in a max tournament tree over sequential cell ids:
+     each leaf holds its cell's first-max [arrival + setup + skew] over
+     its input pins, and only the leaves the re-sweep touched (sequential
+     readers of a changed net, plus the journal's cells) are re-evaluated,
+     at O(log cells) each, instead of rescanning every endpoint per edit.
 
    Arrival times are the unique fixpoint of max-plus propagation on the
    DAG, and every tie-break below mirrors the legacy code exactly
-   (first-max over input pins, ascending-id endpoint scans, strictly
-   greater replacement), so the two engines are bit-identical - enforced
-   by the differential qcheck properties in [test/test_csr.ml]. *)
+   (first-max over input pins, strictly greater replacement).  The
+   legacy report scans endpoints in ascending cell id; the tree lets the
+   lower-id child win ties, so its root is that scan's first maximum.
+   The two engines are bit-identical - enforced by the differential
+   qcheck properties in [test/test_csr.ml]. *)
 
 open Ggpu_hw
 open Ggpu_tech
@@ -240,9 +247,9 @@ let analyse tech netlist =
 (* Net and cell ids are handed out by dense monotonic counters, so raw
    ids index flat arrays directly (removed ids leave small holes).  The
    persistent state is the per-net arrival/predecessor/launch arrays and
-   the per-cell levelization; CSR adjacency exists during full sweeps
-   and is dropped afterwards — the incremental path reads pin lists
-   straight off the (small) dirty cones. *)
+   the per-cell levelization and endpoint summaries; CSR adjacency
+   exists during full sweeps and is dropped afterwards — the incremental
+   path reads pin lists straight off the (small) dirty cones. *)
 type csr_engine = {
   k_tech : Tech.t;
   k_netlist : Netlist.t;
@@ -258,7 +265,18 @@ type csr_engine = {
   mutable k_level : int array; (* comb level; -1 for non-comb/absent *)
   mutable k_queued : Bytes.t; (* level-bucket queue membership *)
   mutable k_max_level : int;
-  mutable k_seq : int list; (* sequential cell ids, ascending *)
+  (* per-cell endpoint summary: first-max [arrival + setup + skew] over
+     the input pins that carry a launch, its net, and the pin count *)
+  mutable k_ep_delay : float array;
+  mutable k_ep_net : int array; (* -1 = the cell is no endpoint *)
+  mutable k_ep_count : int array;
+  mutable k_ep_marked : Bytes.t; (* summary awaits re-evaluation *)
+  mutable k_ep_dirty : int list; (* the marked cell ids *)
+  mutable k_endpoints : int; (* sum of [k_ep_count] *)
+  (* max tournament tree over cell ids: node [i] holds the winning cell
+     of nodes [2i] and [2i + 1], leaf of cell [id] at [leaves + id],
+     -1 where no endpoint is *)
+  mutable k_tree : int array;
   mutable k_report : (int * report) option;
   mutable k_full : int;
   mutable k_incremental : int;
@@ -294,8 +312,92 @@ let ensure_cell_capacity k id =
   if id >= Array.length k.k_level then begin
     let n = max (id + 1) (2 * Array.length k.k_level) in
     k.k_level <- grow_int_array k.k_level n ~default:(-1);
-    k.k_queued <- grow_bytes k.k_queued n
+    k.k_queued <- grow_bytes k.k_queued n;
+    k.k_ep_delay <- grow_float_array k.k_ep_delay n;
+    k.k_ep_net <- grow_int_array k.k_ep_net n ~default:(-1);
+    k.k_ep_count <- grow_int_array k.k_ep_count n ~default:0;
+    k.k_ep_marked <- grow_bytes k.k_ep_marked n
   end
+
+(* Recompute the endpoint summary of cell [id] from the arrival arrays;
+   pin order and strictly-greater replacement follow [report_over_ids]. *)
+let ep_eval k id =
+  let nl = k.k_netlist and tech = k.k_tech in
+  let skew = tech.Tech.stdcell.Stdcell.clock_skew_ns in
+  let worst = ref 0.0 and net = ref (-1) and count = ref 0 in
+  (if Netlist.mem_cell nl id then
+     let cell = Netlist.find_cell nl id in
+     if Cell.is_sequential cell then begin
+       let setup = setup_time tech cell in
+       List.iter
+         (fun n ->
+           let nid = Net.id n in
+           if nid < Array.length k.k_launch && k.k_launch.(nid) >= 0 then begin
+             incr count;
+             let delay_ns = k.k_arr.(nid) +. setup +. skew in
+             if !net < 0 || delay_ns > !worst then begin
+               worst := delay_ns;
+               net := nid
+             end
+           end)
+         (Cell.inputs cell)
+     end);
+  Bytes.set k.k_ep_marked id '\000';
+  k.k_endpoints <- k.k_endpoints - k.k_ep_count.(id) + !count;
+  k.k_ep_delay.(id) <- !worst;
+  k.k_ep_net.(id) <- !net;
+  k.k_ep_count.(id) <- !count
+
+let ep_mark k id =
+  ensure_cell_capacity k id;
+  if Bytes.get k.k_ep_marked id = '\000' then begin
+    Bytes.set k.k_ep_marked id '\001';
+    k.k_ep_dirty <- id :: k.k_ep_dirty
+  end
+
+(* [a] holds lower cell ids than [b], so [b] wins only when strictly
+   worse: the ascending scan's strictly-greater replacement. *)
+let ep_winner k a b =
+  if b < 0 then a
+  else if a < 0 then b
+  else if k.k_ep_delay.(b) > k.k_ep_delay.(a) then b
+  else a
+
+let ep_build_tree k =
+  let n = Array.length k.k_ep_net in
+  let leaves = ref 1 in
+  while !leaves < n do
+    leaves := 2 * !leaves
+  done;
+  let leaves = !leaves in
+  let t = Array.make (2 * leaves) (-1) in
+  for id = 0 to n - 1 do
+    if k.k_ep_net.(id) >= 0 then t.(leaves + id) <- id
+  done;
+  for i = leaves - 1 downto 1 do
+    t.(i) <- ep_winner k t.(2 * i) t.(2 * i + 1)
+  done;
+  k.k_tree <- t
+
+(* Re-evaluate the marked summaries and replay their leaf-to-root paths;
+   a cell id past the tree's leaves rebuilds it. *)
+let ep_flush k =
+  let dirty = k.k_ep_dirty in
+  k.k_ep_dirty <- [];
+  List.iter (ep_eval k) dirty;
+  let leaves = Array.length k.k_tree / 2 in
+  if Array.length k.k_ep_net > leaves then ep_build_tree k
+  else
+    List.iter
+      (fun id ->
+        let t = k.k_tree in
+        t.(leaves + id) <- (if k.k_ep_net.(id) >= 0 then id else -1);
+        let i = ref ((leaves + id) / 2) in
+        while !i >= 1 do
+          t.(!i) <- ep_winner k t.(2 * !i) t.(2 * !i + 1);
+          i := !i / 2
+        done)
+      dirty
 
 (* Rebuild the CSR structure from scratch and run the levelized full
    sweep.  Cell-to-cell edges are deduplicated once per (driver, reader)
@@ -317,7 +419,12 @@ let csr_rebuild k =
   k.k_launch <- Array.make net_bound (-1);
   k.k_level <- Array.make cell_bound (-1);
   k.k_queued <- Bytes.make cell_bound '\000';
-  k.k_seq <- seq_ids nl;
+  k.k_ep_delay <- Array.make cell_bound 0.0;
+  k.k_ep_net <- Array.make cell_bound (-1);
+  k.k_ep_count <- Array.make cell_bound 0;
+  k.k_ep_marked <- Bytes.make cell_bound '\000';
+  k.k_ep_dirty <- [];
+  k.k_endpoints <- 0;
   (* dense comb numbering, ascending cell id *)
   let comb_rev =
     Netlist.fold_cells nl ~init:[] ~f:(fun acc c ->
@@ -543,7 +650,10 @@ let csr_rebuild k =
       (Ggpu_par.Parallel.map ~domains
          (fun chunk -> Array.iter relax chunk)
          chunks)
-  end
+  end;
+  Netlist.iter_cells nl (fun cell ->
+      if Cell.is_sequential cell then ep_eval k (Cell.id cell));
+  ep_build_tree k
 
 (* Incremental sync, phase A: restore the level fixpoint over the dirty
    region.  level(c) = 1 + max level of distinct comb drivers (0 with
@@ -643,7 +753,15 @@ let csr_resweep k ~cells ~nets =
       end
     end
   in
-  let enqueue_readers net = List.iter enqueue (Netlist.readers_of nl net) in
+  (* a changed net re-sweeps its comb readers and re-evaluates the
+     endpoint summaries of its sequential ones *)
+  let enqueue_readers net =
+    List.iter
+      (fun cell ->
+        if Cell.is_sequential cell then ep_mark k (Cell.id cell)
+        else enqueue cell)
+      (Netlist.readers_of nl net)
+  in
   (* a sequential driver re-seeds its output nets with clk-to-q *)
   let reseed_seq_output cell net =
     let nid = Net.id net in
@@ -792,33 +910,17 @@ let csr_arrivals k =
       end);
   arrivals
 
-(* Worst path over the CSR arrays; scan order and tie-breaks replicate
-   [report_over_ids] exactly. *)
+(* Worst path over the CSR arrays: flush the marked endpoint summaries,
+   read the tournament root and walk its predecessor chain. *)
 let csr_report k =
-  let nl = k.k_netlist and tech = k.k_tech in
-  let worst = ref None in
-  let endpoints = ref 0 in
-  let skew = tech.Tech.stdcell.Stdcell.clock_skew_ns in
-  List.iter
-    (fun id ->
-      let cell = Netlist.find_cell nl id in
-      let setup = lazy (setup_time tech cell) in
-      List.iter
-        (fun net ->
-          let nid = Net.id net in
-          if nid < Array.length k.k_launch && k.k_launch.(nid) >= 0 then begin
-            incr endpoints;
-            let arrival = k.k_arr.(nid) in
-            let delay_ns = arrival +. Lazy.force setup +. skew in
-            match !worst with
-            | Some (best, _, _) when best >= delay_ns -> ()
-            | Some _ | None -> worst := Some (delay_ns, nid, cell)
-          end)
-        (Cell.inputs cell))
-    k.k_seq;
-  match !worst with
-  | None -> raise No_paths
-  | Some (_, endpoint_nid, capture) -> (
+  Ggpu_obs.Trace.with_span "sta.report" @@ fun () ->
+  ep_flush k;
+  let nl = k.k_netlist in
+  match k.k_tree.(1) with
+  | -1 -> raise No_paths
+  | capture_id -> (
+      let capture = Netlist.find_cell nl capture_id in
+      let endpoint_nid = k.k_ep_net.(capture_id) in
       let rec walk nid acc =
         if nid < Array.length k.k_pred_cell && k.k_pred_cell.(nid) >= 0 then begin
           let cell = Netlist.find_cell nl k.k_pred_cell.(nid) in
@@ -837,37 +939,15 @@ let csr_report k =
       match launch with
       | None -> raise No_paths (* cannot happen: endpoint has a launch *)
       | Some launch ->
-          let arrival = k.k_arr.(endpoint_nid) in
-          let delay_ns =
-            arrival +. setup_time tech capture
-            +. tech.Tech.stdcell.Stdcell.clock_skew_ns
+          let worst =
+            { launch; capture; through; delay_ns = k.k_ep_delay.(capture_id) }
           in
-          let worst = { launch; capture; through; delay_ns } in
           {
             worst;
             max_delay_ns = worst.delay_ns;
             fmax_mhz = 1000.0 /. worst.delay_ns;
-            endpoint_count = !endpoints;
+            endpoint_count = k.k_endpoints;
           })
-
-(* Keep the cached sequential-id list equal to [seq_ids netlist]:
-   every added, removed or rewired cell id appears in the journal, so
-   dropping the touched ids and re-inserting the ones that are (still)
-   sequential restores the invariant. *)
-let merge_seq_ids nl seq touched =
-  match touched with
-  | [] -> seq
-  | touched ->
-      let touched = List.sort_uniq Int.compare touched in
-      let keep = List.filter (fun id -> not (List.mem id touched)) seq in
-      let add =
-        List.filter
-          (fun id ->
-            Netlist.mem_cell nl id
-            && Cell.is_sequential (Netlist.find_cell nl id))
-          touched
-      in
-      List.merge Int.compare keep add
 
 let csr_make ~domains tech netlist =
   let k =
@@ -884,7 +964,13 @@ let csr_make ~domains tech netlist =
       k_level = [||];
       k_queued = Bytes.empty;
       k_max_level = 0;
-      k_seq = [];
+      k_ep_delay = [||];
+      k_ep_net = [||];
+      k_ep_count = [||];
+      k_ep_marked = Bytes.empty;
+      k_ep_dirty = [];
+      k_endpoints = 0;
+      k_tree = [||];
       k_report = None;
       k_full = 1;
       k_incremental = 0;
@@ -904,7 +990,7 @@ let csr_sync k =
         Ggpu_obs.Trace.with_span "sta.incremental" (fun () ->
             csr_fix_levels k ~cells ~nets;
             csr_resweep k ~cells ~nets);
-        k.k_seq <- merge_seq_ids k.k_netlist k.k_seq cells;
+        List.iter (ep_mark k) cells;
         k.k_incremental <- k.k_incremental + 1;
         Ggpu_obs.Metrics.count "sta.incremental_updates" 1;
         Ggpu_obs.Metrics.observe_named "sta.cone_cells" (k.k_relaxed - before)
@@ -1093,6 +1179,25 @@ let incremental_update engine ~cells ~nets =
     end
   done
 
+(* Keep the cached sequential-id list equal to [seq_ids netlist]:
+   every added, removed or rewired cell id appears in the journal, so
+   dropping the touched ids and re-inserting the ones that are (still)
+   sequential restores the invariant. *)
+let merge_seq_ids nl seq touched =
+  match touched with
+  | [] -> seq
+  | touched ->
+      let touched = List.sort_uniq Int.compare touched in
+      let keep = List.filter (fun id -> not (List.mem id touched)) seq in
+      let add =
+        List.filter
+          (fun id ->
+            Netlist.mem_cell nl id
+            && Cell.is_sequential (Netlist.find_cell nl id))
+          touched
+      in
+      List.merge Int.compare keep add
+
 let update_seq_ids engine touched =
   engine.e_seq <- merge_seq_ids engine.e_netlist engine.e_seq touched
 
@@ -1128,6 +1233,17 @@ let engine_arrivals = function
   | Csr_engine k ->
       csr_sync k;
       csr_arrivals k
+
+let engine_net_arrival engine net =
+  let nid = Net.id net in
+  match engine with
+  | Legacy_engine e ->
+      legacy_sync e;
+      Option.value ~default:0.0
+        (Hashtbl.find_opt e.e_arrivals.net_arrival nid)
+  | Csr_engine k ->
+      csr_sync k;
+      if nid < Array.length k.k_arr then k.k_arr.(nid) else 0.0
 
 let engine_analyse = function
   | Legacy_engine engine -> (

@@ -86,7 +86,13 @@ val engine_analyse : engine -> report
     @raise No_paths as {!analyse}. *)
 
 val engine_arrivals : engine -> arrivals
-(** Synchronised arrival tables (same caveats as {!compute_arrivals}). *)
+(** Synchronised arrival tables (same caveats as {!compute_arrivals}).
+    Builds three netlist-sized hashtables per call: meant for the
+    differential tests; per-net queries use {!engine_net_arrival}. *)
+
+val engine_net_arrival : engine -> Ggpu_hw.Net.t -> float
+(** Synchronised worst arrival of one net; 0.0 for a net no sequential
+    or combinational cell drives (the {!arrivals} default). *)
 
 val engine_stats : engine -> engine_stats
 

@@ -14,16 +14,16 @@ let tech = Tech.default_65nm
 
 (* --- random netlists ----------------------------------------------------- *)
 
-(* A random sequential design: [ffs] launch registers, [gates] comb
-   cells each reading 1-3 already-created nets (acyclic by
-   construction), then every sink net gets a capture register.  The
-   integer list drives all structural choices, so QCheck shrinks to
-   small netlists. *)
+(* A random sequential design: [ffs] launch registers, [macros] SRAM
+   macros reading 1-2 register outputs, [gates] comb cells each reading
+   1-3 already-created nets (acyclic by construction), then every sink
+   net gets a capture register.  The integer list drives all structural
+   choices, so QCheck shrinks to small netlists. *)
 let comb_ops =
   [| Op.Buf; Op.Not; Op.And; Op.Or; Op.Xor; Op.Add; Op.Sub; Op.Mul;
      Op.Shl; Op.Eq |]
 
-let build_random ~ffs ~gates (choices : int list) =
+let build_random ?(macros = 0) ~ffs ~gates (choices : int list) =
   let nl = Netlist.create ~name:"random" in
   let choices = Array.of_list choices in
   let n_choices = max 1 (Array.length choices) in
@@ -44,6 +44,22 @@ let build_random ~ffs ~gates (choices : int list) =
         ~region:"top" ~kind:Cell.Dff ~inputs:[ d ] ~outputs:[ q ] ()
     in
     nets := q :: !nets
+  done;
+  for i = 0 to macros - 1 do
+    let avail = net_array () in
+    let inputs =
+      List.init (1 + pick 2) (fun _ -> avail.(pick (Array.length avail)))
+    in
+    let spec =
+      Macro_spec.make ~words:(64 lsl pick 3) ~bits:8 ~ports:Macro_spec.Dual_port
+    in
+    let out = Netlist.add_net nl ~name:(Printf.sprintf "m%d" i) ~width:8 in
+    let _ =
+      Netlist.add_cell nl
+        ~name:(Printf.sprintf "mem%d" i)
+        ~region:"top" ~kind:(Cell.Macro spec) ~inputs ~outputs:[ out ] ()
+    in
+    nets := out :: !nets
   done;
   for i = 0 to gates - 1 do
     let avail = net_array () in
@@ -192,6 +208,133 @@ let prop_random_replay_identity =
         QCheck.Test.fail_report "csr engine never took the incremental path";
       true)
 
+(* The report of a fresh full walk and of the engine must agree, including
+   on netlists whose edits left no register-to-register path. *)
+let check_engine_vs_fresh msg nl engine =
+  match Timing.analyse tech nl with
+  | fresh -> check_reports msg fresh (Timing.engine_analyse engine)
+  | exception Timing.No_paths -> (
+      match Timing.engine_analyse engine with
+      | _ -> Alcotest.failf "%s: engine reports a path, full walk none" msg
+      | exception Timing.No_paths -> ())
+
+(* Replay mixed edits that add, remove and rewire sequential endpoints
+   and split macros on a random netlist with macros; after every edit
+   the CSR engine's maintained endpoint summaries must give the same
+   report as a fresh full walk and as the legacy engine. *)
+let prop_random_endpoint_edits =
+  QCheck.Test.make
+    ~name:"csr endpoint bookkeeping == full under remove/rewire/split edits"
+    ~count:40
+    QCheck.(
+      quad (int_range 2 5) (int_range 4 25) (small_list small_int)
+        (list_of_size (Gen.int_range 1 8) (pair small_nat small_nat)))
+    (fun (ffs, gates, choices, edits) ->
+      let nl = build_random ~macros:2 ~ffs ~gates choices in
+      let legacy = Timing.make_engine ~impl:Timing.Legacy tech nl in
+      let csr = Timing.make_engine ~impl:Timing.Csr tech nl in
+      check_engine_vs_fresh "initial" nl csr;
+      let cells_where p =
+        List.filter p (Netlist.cells nl)
+        |> List.sort (fun a b -> Int.compare (Cell.id a) (Cell.id b))
+        |> Array.of_list
+      in
+      let nth arr i = arr.(i mod Array.length arr) in
+      List.iteri
+        (fun step (kind, target) ->
+          let seqs = cells_where Cell.is_sequential in
+          let nets =
+            Array.of_list
+              (List.sort
+                 (fun a b -> Int.compare (Net.id a) (Net.id b))
+                 (Netlist.nets nl))
+          in
+          let edit =
+            match kind mod 4 with
+            | 0 ->
+                let piped =
+                  Array.of_list
+                    (List.filter
+                       (fun net ->
+                         Netlist.driver_of nl net <> None
+                         && Netlist.readers_of nl net <> [])
+                       (Array.to_list nets))
+                in
+                if Array.length piped = 0 then None
+                else begin
+                  ignore (Netlist.insert_pipeline nl (nth piped target));
+                  Some "pipeline"
+                end
+            | 1 when Array.length seqs > 0 ->
+                Netlist.remove_cell nl (nth seqs target);
+                Some "remove"
+            | 2 when Array.length seqs > 0 ->
+                let cell = nth seqs target in
+                let inputs =
+                  List.init (1 + (target mod 3)) (fun i ->
+                      nth nets (target + (7 * i) + step))
+                in
+                ignore (Netlist.rewire_inputs nl cell ~inputs);
+                Some "rewire"
+            | 3 -> (
+                let splittable =
+                  cells_where (fun c ->
+                      match Cell.macro_spec c with
+                      | Some spec -> Macro_spec.words spec >= 32
+                      | None -> false)
+                in
+                match splittable with
+                | [||] -> None
+                | macros ->
+                    Netlist.split_macro_words nl (nth macros target) ~banks:2;
+                    Some "split")
+            | _ -> None
+          in
+          match edit with
+          | None -> ()
+          | Some what ->
+              let msg = Printf.sprintf "after %s (step %d)" what step in
+              check_engine_vs_fresh (msg ^ " (csr vs fresh)") nl csr;
+              check_engine_vs_fresh (msg ^ " (legacy vs fresh)") nl legacy)
+        edits;
+      true)
+
+(* Two capture registers with equal worst delays: the lower cell id wins
+   and, inside it, the earlier of two equal pins — also after an edit
+   re-evaluates the higher-id endpoint incrementally. *)
+let test_endpoint_tie_break () =
+  let nl = Netlist.create ~name:"tie" in
+  let reg name d =
+    let q = Netlist.add_net nl ~name:(name ^ "_q") ~width:8 in
+    let cell =
+      Netlist.add_cell nl ~name ~region:"top" ~kind:Cell.Dff ~inputs:d
+        ~outputs:[ q ] ()
+    in
+    (cell, q)
+  in
+  let _, qa = reg "ff_a" [ Netlist.add_net nl ~name:"da" ~width:8 ] in
+  let _, qb = reg "ff_b" [ Netlist.add_net nl ~name:"db" ~width:8 ] in
+  let cap_lo, _ = reg "cap_lo" [ qb; qa ] in
+  let cap_hi, _ = reg "cap_hi" [ qa ] in
+  Alcotest.(check bool) "ids ascend" true (Cell.id cap_lo < Cell.id cap_hi);
+  let engine = Timing.make_engine tech nl in
+  let expect msg ~launch =
+    let fresh = Timing.analyse tech nl and r = Timing.engine_analyse engine in
+    check_reports msg fresh r;
+    Alcotest.(check string)
+      (msg ^ ": capture") "cap_lo"
+      (Cell.name r.Timing.worst.Timing.capture);
+    Alcotest.(check string)
+      (msg ^ ": launch") launch
+      (Cell.name r.Timing.worst.Timing.launch);
+    Alcotest.(check int) (msg ^ ": endpoints") 3 r.Timing.endpoint_count
+  in
+  expect "initial" ~launch:"ff_b";
+  ignore (Netlist.rewire_inputs nl cap_hi ~inputs:[ qb ]);
+  expect "higher id rewired" ~launch:"ff_b";
+  ignore (Netlist.rewire_inputs nl cap_lo ~inputs:[ qa; qb ]);
+  expect "pins swapped" ~launch:"ff_a"
+
 (* --- generated designs --------------------------------------------------- *)
 
 let test_generated_identity () =
@@ -235,6 +378,9 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_random_full_identity;
         QCheck_alcotest.to_alcotest prop_random_replay_identity;
+        QCheck_alcotest.to_alcotest prop_random_endpoint_edits;
+        Alcotest.test_case "equal endpoints: lower id, earlier pin" `Quick
+          test_endpoint_tie_break;
         Alcotest.test_case "generated designs bit-identical" `Quick
           test_generated_identity;
         Alcotest.test_case "dse converges identically on both engines" `Quick
